@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..baselines.base import available_baselines, get_baseline
-from ..core import matcher
+from ..core import bitparallel
 from ..core.compiler import CompiledLibrary, SearchBudget, compile_library
 from ..engines.base import available_engines, build_profile, get_engine
 from ..genome.sequence import Sequence
@@ -122,8 +122,8 @@ class StandardWorkload:
 
         Sharded runs carry the full :class:`~repro.core.parallel`
         stats (per-shard timings, retries, recovery paths); the serial
-        kernel reports its wall time and report rate in the same shape
-        the CLI's ``--stats-json`` uses.
+        production (bit-parallel) kernel reports its wall time and
+        report rate in the same shape the CLI's ``--stats-json`` uses.
         """
         if self.functional_workers != 1:
             from ..core.parallel import ParallelSearch
@@ -135,7 +135,7 @@ class StandardWorkload:
         import time
 
         started = time.perf_counter()
-        hits = matcher.find_hits(self.genome, self.library, self.budget)
+        hits = bitparallel.find_hits(self.genome, self.library, self.budget)
         wall = time.perf_counter() - started
         stats = {
             "workers": 1,

@@ -13,8 +13,16 @@ Work is sharded along two axes:
   chunk boundary is still found exactly once (hits wholly inside a
   chunk's overlapped prefix were already reported by the previous
   chunk and are dropped, the same rule :class:`StreamingSearch` pins);
-* **guide batches** — disjoint slices of the guide library, so large
-  libraries scale past the chunk count.
+* **guide batches** — disjoint slices of the guide library, used only
+  when a run has fewer chunks than workers (or an explicit
+  ``guide_batch_size`` asks for them). A run with at least ``workers``
+  chunks keeps the whole panel in one batch, so every chunk is decoded
+  and packed into code planes exactly once.
+
+:meth:`ParallelSearch.search_many_with_stats` shards every record of a
+run up front and executes all the shards through **one** process pool,
+then merges per record; spawning a pool per record would pay the
+spawn again and leave workers idle at every record's tail.
 
 Workers receive cheap-to-pickle payloads only: 2-bit packed chunk
 codes (:class:`~repro.genome.sequence.TwoBitSequence` bytes), plain
@@ -330,6 +338,7 @@ class _ShardState:
     """Parent-side bookkeeping for one shard across its attempts."""
 
     task: ShardTask
+    metrics: Metrics  # the shard's record's metrics
     attempts: int = 0
     failures: list[str] = field(default_factory=list)
     timeouts: int = 0
@@ -360,8 +369,8 @@ class ParallelSearch:
     chunk_length:
         Genome chunk size; must exceed the derived overlap.
     guide_batch_size:
-        Guides per batch; ``None`` splits the library into at most
-        ``workers`` equal batches.
+        Guides per batch; ``None`` derives it per run (see
+        :meth:`guide_batches`).
     shard_timeout:
         Per-attempt deadline in seconds; ``None`` (default) waits
         indefinitely. An attempt past its deadline is abandoned and
@@ -414,9 +423,7 @@ class ParallelSearch:
                 f"chunk_length {chunk_length} must exceed the overlap {self._overlap}"
             )
         self._chunk_length = chunk_length
-        if guide_batch_size is None:
-            guide_batch_size = -(-len(guide_list) // workers)  # ceil division
-        if guide_batch_size < 1:
+        if guide_batch_size is not None and guide_batch_size < 1:
             raise EngineError("guide_batch_size must be positive")
         self._guide_batch_size = guide_batch_size
         if shard_timeout is not None and not shard_timeout > 0:
@@ -463,10 +470,21 @@ class ParallelSearch:
     def kernel(self) -> str:
         return self._kernel
 
-    @property
-    def guide_batches(self) -> list[tuple[Guide, ...]]:
-        """The disjoint guide batches, in library order."""
+    def guide_batches(self, num_chunks: int) -> list[tuple[Guide, ...]]:
+        """The disjoint guide batches of a run of *num_chunks* chunks.
+
+        An explicit ``guide_batch_size`` always applies. Otherwise a run
+        with at least ``workers`` chunks keeps the whole panel in one
+        batch (chunk-major: each chunk is decoded and packed once), and
+        a shorter run splits the panel into at most ``workers`` equal
+        batches so every worker still gets a shard.
+        """
         size = self._guide_batch_size
+        if size is None:
+            if num_chunks >= self._workers:
+                size = len(self._guides)
+            else:
+                size = -(-len(self._guides) // self._workers)  # ceil division
         return [
             tuple(self._guides[index : index + size])
             for index in range(0, len(self._guides), size)
@@ -476,30 +494,59 @@ class ParallelSearch:
 
     def shard_tasks(self, genome: Sequence) -> list[ShardTask]:
         """All (chunk × guide-batch) shards for *genome*, in canonical order."""
-        batches = self.guide_batches
-        tasks: list[ShardTask] = []
-        for chunk in iter_chunks(
-            genome, chunk_length=self._chunk_length, overlap=self._overlap
-        ):
-            two_bit = TwoBitSequence.pack(chunk.sequence)
-            packed = two_bit.packed_bytes
-            n_mask = two_bit.n_mask_bytes
-            for batch in batches:
-                tasks.append(
-                    ShardTask(
-                        shard_id=len(tasks),
-                        sequence_name=genome.name,
-                        chunk_start=chunk.start,
-                        chunk_overlap=chunk.overlap,
-                        chunk_length=len(chunk),
-                        packed=packed,
-                        n_mask=n_mask,
-                        guides=batch,
-                        budget=self._budget,
-                        kernel=self._kernel,
+        return self._shard_run([genome], [Metrics()])[0][0]
+
+    def _shard_run(
+        self, genomes: list[Sequence], record_metrics: list[Metrics]
+    ) -> tuple[list[list[ShardTask]], int]:
+        """Per record, its shards (ids run on across the records), and
+        the run's guide batch count.
+
+        Every chunk is packed first (a ``shard_tasks`` span per record),
+        because the guide batching depends on the run's chunk count.
+        """
+        packed_records = []
+        for genome, metrics in zip(genomes, record_metrics):
+            with metrics.span("shard_tasks"):
+                chunks = []
+                for chunk in iter_chunks(
+                    genome, chunk_length=self._chunk_length, overlap=self._overlap
+                ):
+                    two_bit = TwoBitSequence.pack(chunk.sequence)
+                    chunks.append(
+                        (
+                            chunk.start,
+                            chunk.overlap,
+                            len(chunk),
+                            two_bit.packed_bytes,
+                            two_bit.n_mask_bytes,
+                        )
                     )
-                )
-        return tasks
+                packed_records.append(chunks)
+        batches = self.guide_batches(sum(len(chunks) for chunks in packed_records))
+        record_tasks: list[list[ShardTask]] = []
+        shard_id = 0
+        for genome, chunks in zip(genomes, packed_records):
+            tasks: list[ShardTask] = []
+            for start, overlap, length, packed, n_mask in chunks:
+                for batch in batches:
+                    tasks.append(
+                        ShardTask(
+                            shard_id=shard_id,
+                            sequence_name=genome.name,
+                            chunk_start=start,
+                            chunk_overlap=overlap,
+                            chunk_length=length,
+                            packed=packed,
+                            n_mask=n_mask,
+                            guides=batch,
+                            budget=self._budget,
+                            kernel=self._kernel,
+                        )
+                    )
+                    shard_id += 1
+            record_tasks.append(tasks)
+        return record_tasks, len(batches)
 
     # -- fault and retry plumbing ------------------------------------------
 
@@ -511,19 +558,19 @@ class ParallelSearch:
     def _hang_seconds(self) -> float:
         return self._fault_plan.hang_seconds if self._fault_plan else 0.0
 
-    def _record_failure(self, state: _ShardState, kind: str, metrics: Metrics) -> None:
+    def _record_failure(self, state: _ShardState, kind: str) -> None:
         state.failures.append(kind)
         if kind == "timeout":
             state.timeouts += 1
-        metrics.incr("parallel.failures")
-        metrics.incr(f"parallel.failures.{kind}")
+        state.metrics.incr("parallel.failures")
+        state.metrics.incr(f"parallel.failures.{kind}")
 
-    def _record_success(self, state: _ShardState, result: ShardResult, metrics: Metrics) -> None:
+    def _record_success(self, state: _ShardState, result: ShardResult) -> None:
         state.result = result
-        metrics.incr("parallel.shards_completed")
-        metrics.incr("parallel.kernel_positions", state.task.chunk_length)
-        metrics.incr("parallel.report_events", result.num_hits)
-        metrics.observe("parallel.shard_seconds", result.seconds)
+        state.metrics.incr("parallel.shards_completed")
+        state.metrics.incr("parallel.kernel_positions", state.task.chunk_length)
+        state.metrics.incr("parallel.report_events", result.num_hits)
+        state.metrics.observe("parallel.shard_seconds", result.seconds)
 
     def _backoff_delay(self, nth_failure: int, run: dict, metrics: Metrics) -> float:
         """The wait before retry number *nth_failure* (1-based)."""
@@ -588,13 +635,13 @@ class ParallelSearch:
                         kind="corrupt_result",
                     )
             except ShardError as error:
-                self._record_failure(state, error.kind, metrics)
+                self._record_failure(state, error.kind)
                 if arena_attempt < self._max_retries:
                     delay = self._backoff_delay(len(state.failures), run, metrics)
                     if delay:
                         time.sleep(delay)
                 continue
-            self._record_success(state, result, metrics)
+            self._record_success(state, result)
             if state.failures:
                 state.recovery = recovery_label
             return True
@@ -637,7 +684,7 @@ class ParallelSearch:
             # requeues immediately without consuming the shard's retry
             # budget; runaway kills are bounded by the rebuild cap
             # instead.
-            self._record_failure(state, kind, metrics)
+            self._record_failure(state, kind)
             if consume_budget and state.attempts >= 1 + self._max_retries:
                 terminal.append(state.task.shard_id)
             else:
@@ -709,7 +756,7 @@ class ParallelSearch:
                         if defect:
                             schedule_failure(state, "corrupt_result")
                             continue
-                        self._record_success(state, result, metrics)
+                        self._record_success(state, result)
                         if state.failures:
                             state.recovery = "retry"
                     # Abandon attempts past their deadline and requeue the
@@ -795,11 +842,28 @@ class ParallelSearch:
         fault-tolerance totals, and an :class:`~repro.obs.Metrics`
         snapshot of the run.
         """
-        metrics = Metrics()
-        started = time.perf_counter()
-        with metrics.span("shard_tasks"):
-            tasks = self.shard_tasks(genome)
-        states = [_ShardState(task) for task in tasks]
+        return self._search_run([genome])[0]
+
+    def _search_run(
+        self, genomes: list[Sequence]
+    ) -> list[tuple[list[OffTargetHit], dict]]:
+        """Shard every record, run all shards through one pool, merge per record.
+
+        Each record gets its own hits and stats row. The figures of the
+        run as a whole — whether a pool ran (``pooled``,
+        ``serial_fallback``), the ``execute`` span and the pool-level
+        fault counters — are reported on the first record's row only, so
+        summing the rows counts the shared pool once.
+        """
+        if not genomes:
+            return []
+        record_metrics = [Metrics() for _ in genomes]
+        record_tasks, num_batches = self._shard_run(genomes, record_metrics)
+        record_states = [
+            [_ShardState(task, metrics) for task in tasks]
+            for tasks, metrics in zip(record_tasks, record_metrics)
+        ]
+        states = [state for record in record_states for state in record]
         run = {
             "pooled": False,
             "serial_fallback": False,
@@ -811,17 +875,34 @@ class ParallelSearch:
             "backoff_waits": 0,
             "in_process_rescues": 0,
         }
-        with metrics.span("execute", shards=len(tasks)):
-            self._execute(states, run, metrics)
-        merge_started = time.perf_counter()
-        with metrics.span("merge"):
-            hits = merge_shards(
-                state.result for state in states if state.result is not None
+        run_metrics = record_metrics[0]
+        with run_metrics.span("execute", shards=len(states)):
+            self._execute(states, run, run_metrics)
+        results = []
+        for index, (metrics, record) in enumerate(zip(record_metrics, record_states)):
+            merge_started = time.perf_counter()
+            with metrics.span("merge"):
+                hits = merge_shards(
+                    state.result for state in record if state.result is not None
+                )
+            merge_seconds = time.perf_counter() - merge_started
+            stats = self._record_stats(
+                record, metrics, merge_seconds, num_batches, run if index == 0 else None
             )
-        finished = time.perf_counter()
-        num_batches = len(self.guide_batches)
+            results.append((hits, stats))
+        return results
+
+    def _record_stats(
+        self,
+        states: list[_ShardState],
+        metrics: Metrics,
+        merge_seconds: float,
+        num_batches: int,
+        run: dict | None,
+    ) -> dict:
+        """One record's stats row; *run* carries the pool figures, or ``None``."""
         shard_rows = []
-        for state in sorted(states, key=lambda s: s.task.shard_id):
+        for state in states:
             result = state.result
             shard_rows.append(
                 {
@@ -839,13 +920,15 @@ class ParallelSearch:
         for state in states:
             for kind in state.failures:
                 failure_totals[kind] = failure_totals.get(kind, 0) + 1
-        stats = {
+        snapshot = metrics.snapshot()
+        run = run or {}
+        return {
             "workers": self._workers,
             "kernel": self._kernel,
-            "pooled": run["pooled"],
-            "serial_fallback": run["serial_fallback"],
-            "num_shards": len(tasks),
-            "num_chunks": len(tasks) // num_batches if num_batches else 0,
+            "pooled": run.get("pooled", False),
+            "serial_fallback": run.get("serial_fallback", False),
+            "num_shards": len(states),
+            "num_chunks": len(states) // num_batches,
             "num_guide_batches": num_batches,
             "chunk_length": self._chunk_length,
             "overlap": self._overlap,
@@ -853,8 +936,8 @@ class ParallelSearch:
             "total_shard_seconds": sum(
                 state.result.seconds for state in states if state.result
             ),
-            "merge_seconds": finished - merge_started,
-            "wall_seconds": finished - started,
+            "merge_seconds": merge_seconds,
+            "wall_seconds": sum(span["seconds"] for span in snapshot["spans"]),
             "kernel_positions": int(metrics.counter("parallel.kernel_positions")),
             "report_events": int(metrics.counter("parallel.report_events")),
             "fault_tolerance": {
@@ -864,14 +947,13 @@ class ParallelSearch:
                 "retries": sum(max(0, state.attempts - 1) for state in states),
                 "timeouts": sum(state.timeouts for state in states),
                 "failures": failure_totals,
-                "pool_rebuilds": run["pool_rebuilds"],
-                "pool_spawn_failures": run["pool_spawn_failures"],
-                "backoff_waits": run["backoff_waits"],
-                "in_process_rescues": run["in_process_rescues"],
+                "pool_rebuilds": run.get("pool_rebuilds", 0),
+                "pool_spawn_failures": run.get("pool_spawn_failures", 0),
+                "backoff_waits": run.get("backoff_waits", 0),
+                "in_process_rescues": run.get("in_process_rescues", 0),
             },
-            "obs": metrics.snapshot(),
+            "obs": snapshot,
         }
-        return hits, stats
 
     def search_many(self, genomes: Iterable[Sequence]) -> list[OffTargetHit]:
         """Search several sequences (chromosomes), merged canonically."""
@@ -881,11 +963,20 @@ class ParallelSearch:
     def search_many_with_stats(
         self, genomes: Iterable[Sequence]
     ) -> tuple[list[OffTargetHit], list[dict]]:
-        """Search several sequences; hits merged canonically, stats per sequence."""
+        """Search several sequences through one pool; hits merged
+        canonically, one stats row per sequence (see :meth:`_search_run`).
+
+        A single sequence goes through :meth:`search_with_stats`, the
+        executor's one-sequence entry point.
+        """
+        genome_list = list(genomes)
+        if len(genome_list) == 1:
+            runs = [self.search_with_stats(genome_list[0])]
+        else:
+            runs = self._search_run(genome_list)
         hits: list[OffTargetHit] = []
         per_sequence: list[dict] = []
-        for genome in genomes:
-            sequence_hits, stats = self.search_with_stats(genome)
+        for genome, (sequence_hits, stats) in zip(genome_list, runs):
             hits.extend(sequence_hits)
             per_sequence.append({"sequence": genome.name, **stats})
         return dedupe_hits(hits), per_sequence

@@ -10,6 +10,8 @@ in the returned stats. Faults are injected deterministically through
 flake hunt.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import FaultPlan, ParallelSearch, SearchBudget
@@ -20,12 +22,13 @@ from repro.core.parallel import (
     validate_shard_result,
 )
 from repro.errors import EngineError
-from repro.grna.hit import OffTargetHit
+from repro.genome.sequence import Sequence
+from repro.grna.hit import OffTargetHit, dedupe_hits
 
 from differential import assert_engines_agree, case_from_seed, oracle_hits
 from helpers import hit_multiset
 
-CHUNK = 700  # 3000 bp genome -> 4+ chunks -> ~8 shards with 2 guide batches
+CHUNK = 700  # 3000 bp genome -> 5 chunks -> 5 whole-panel shards
 
 # One reproducible differential case shared by the whole module; the
 # harness derives the genome (seed 91), the 2-guide panel (seed 92),
@@ -325,3 +328,52 @@ class TestConformance:
             or sum(ft["failures"].values())
         )
         assert degraded, f"{label}: no recovery recorded in stats"
+
+
+class TestFaultsAcrossRecords:
+    """Faults on shards of two records of one pooled run."""
+
+    @pytest.fixture(scope="class")
+    def records(self, genome):
+        return [genome, Sequence("chrFault2", genome.codes)]
+
+    @pytest.fixture(scope="class")
+    def expected(self, records, guides, budget):
+        hits = []
+        for record in records:
+            hits.extend(oracle_hits(replace(CASE, genome=record)))
+        return dedupe_hits(hits)
+
+    @pytest.mark.parametrize(
+        "label,kind,extra",
+        [
+            ("kill", "kill", {}),
+            ("hang", "hang", dict(shard_timeout=0.25)),
+            ("corrupt", "corrupt", {}),
+        ],
+    )
+    def test_faults_spanning_records_recover(
+        self, label, kind, extra, records, guides, budget, expected
+    ):
+        # The last shard of the first record and the first of the second.
+        first = len(ParallelSearch(guides, budget, workers=2, chunk_length=CHUNK).shard_tasks(records[0]))
+        plan = FaultPlan(
+            faults=(FaultSpec(first - 1, 1, kind), FaultSpec(first, 1, kind)),
+            hang_seconds=1.2,
+        )
+        executor = ParallelSearch(
+            guides,
+            budget,
+            workers=2,
+            chunk_length=CHUNK,
+            backoff_seconds=0.0,
+            fault_plan=plan,
+            **extra,
+        )
+        hits, rows = executor.search_many_with_stats(records)
+        assert hits == expected, label
+        assert [row["pooled"] for row in rows] == [True, False], label
+        for row in rows:
+            ft = row["fault_tolerance"]
+            assert ft["retries"] >= 1, (label, row["sequence"])
+            assert sum(ft["failures"].values()) >= 1, (label, row["sequence"])

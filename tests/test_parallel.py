@@ -36,6 +36,7 @@ from repro.core.parallel import ShardTask, _search_shard, merge_shards
 from repro.errors import EngineError
 from repro.genome.sequence import Sequence
 from repro.grna.guide import Guide
+from repro.grna.hit import dedupe_hits
 
 from differential import (
     DifferentialCase,
@@ -360,7 +361,7 @@ class TestExecutor:
         executor = ParallelSearch(
             guides, SearchBudget(), workers=3, guide_batch_size=1
         )
-        batches = executor.guide_batches
+        batches = executor.guide_batches(num_chunks=1)
         assert [g for batch in batches for g in batch] == list(guides)
         assert all(len(batch) == 1 for batch in batches)
 
@@ -401,6 +402,93 @@ class TestExecutor:
             ParallelSearch(guides, SearchBudget(), chunk_length=5)
         with pytest.raises(EngineError):
             ParallelSearch(guides, SearchBudget(), guide_batch_size=0)
+
+
+# -- one pool per run ----------------------------------------------------------
+
+
+class TestOnePoolPerRun:
+    """A multi-record run shards every record and uses one pool."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return [
+            random_genome(length, seed=60 + index, name=f"chr{index + 1}")
+            for index, length in enumerate((21_000, 9_000, 0, 15_000))
+        ]
+
+    @pytest.fixture(scope="class")
+    def guides(self, records):
+        return sample_guides_from_genome(records[0], 3, seed=65)
+
+    @pytest.fixture(scope="class")
+    def expected(self, records, guides):
+        budget = SearchBudget(mismatches=2)
+        return [matcher.find_hits(record, guides, budget) for record in records]
+
+    def test_four_records_spawn_one_pool(self, records, guides, expected, monkeypatch):
+        spawned = []
+        real = parallel_module.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            spawned.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", counting)
+        executor = ParallelSearch(
+            guides, SearchBudget(mismatches=2), workers=2, chunk_length=7000
+        )
+        hits, rows = executor.search_many_with_stats(records)
+        assert len(spawned) == 1
+        assert [row["sequence"] for row in rows] == [r.name for r in records]
+        # The run's pool, spawn and execute time are counted once.
+        assert [row["pooled"] for row in rows] == [True, False, False, False]
+        executes = [
+            span for row in rows for span in row["obs"]["spans"] if span["name"] == "execute"
+        ]
+        assert len(executes) == 1
+        assert executes[0]["shards"] == sum(row["num_shards"] for row in rows)
+        # Shard ids run on across records; each row holds its own shards.
+        ids = [shard["shard"] for row in rows for shard in row["shards"]]
+        assert ids == list(range(len(ids)))
+        assert hits == dedupe_hits([hit for record in expected for hit in record])
+
+    def test_default_layout_is_chunk_major_when_chunks_cover_workers(self, guides):
+        executor = ParallelSearch(guides, SearchBudget(), workers=2, chunk_length=7000)
+        assert executor.guide_batches(num_chunks=2) == [tuple(guides)]
+        assert executor.guide_batches(num_chunks=9) == [tuple(guides)]
+        # Fewer chunks than workers: split the panel so both work.
+        assert [len(b) for b in executor.guide_batches(num_chunks=1)] == [2, 1]
+        wide = ParallelSearch(guides, SearchBudget(), workers=4, chunk_length=7000)
+        assert [len(b) for b in wide.guide_batches(num_chunks=3)] == [1, 1, 1]
+
+    def test_layout_follows_the_runs_chunk_count(self, records, guides):
+        # 21 kbp at 7000 bp chunks is 4 chunks: chunk-major with 2
+        # workers; one short record alone (1 chunk) is guide-batched.
+        executor = ParallelSearch(guides, SearchBudget(), workers=2, chunk_length=7000)
+        _, rows = executor.search_many_with_stats(records)
+        assert {row["num_guide_batches"] for row in rows} == {1}
+        assert all(row["num_shards"] == row["num_chunks"] for row in rows)
+        short = Sequence.from_text("short", records[1].text[:5000])
+        _, stats = executor.search_with_stats(short)
+        assert (stats["num_chunks"], stats["num_guide_batches"]) == (1, 2)
+
+    @pytest.mark.parametrize("batch", [None, 1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_identical_for_every_worker_count_and_batch(
+        self, records, guides, expected, workers, batch
+    ):
+        executor = ParallelSearch(
+            guides,
+            SearchBudget(mismatches=2),
+            workers=workers,
+            chunk_length=7000,
+            guide_batch_size=batch,
+        )
+        hits, rows = executor.search_many_with_stats(records)
+        assert hits == dedupe_hits([hit for record in expected for hit in record])
+        if batch is not None:
+            assert {row["num_guide_batches"] for row in rows} == {-(-3 // batch)}
 
 
 # -- public API wiring --------------------------------------------------------
